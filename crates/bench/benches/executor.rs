@@ -8,10 +8,7 @@ use std::hint::black_box;
 
 use tt_alloc::TurboAllocator;
 use tt_model::bert::{Bert, BertConfig};
-use tt_model::bound::InputBinding;
-use tt_model::ids_batch;
-use tt_runtime::executor::execute;
-use tt_tensor::storage::Arena;
+use tt_model::{ids_batch, Workspace};
 
 fn bench_executor_vs_eager(c: &mut Criterion) {
     let cfg = BertConfig::tiny();
@@ -28,11 +25,10 @@ fn bench_executor_vs_eager(c: &mut Criterion) {
         let bound = model.build_graph(1, len, false);
         g.bench_with_input(BenchmarkId::new("planned_arena", len), &ids, |b, ids| {
             // Warm allocator/arena: the steady-state serving path.
-            let mut alloc = TurboAllocator::default();
-            let mut arena = Arena::new();
-            let inputs = [(InputBinding::TokenIds, ids)];
-            let _ = execute(&bound, model.weights(), &inputs, &mut alloc, &mut arena);
-            b.iter(|| black_box(execute(&bound, model.weights(), &inputs, &mut alloc, &mut arena)))
+            let mut ws = Workspace::default();
+            let inputs = [ids.as_slice()];
+            let _ = bound.run(model.weights(), &bound.weights, &inputs, &mut ws);
+            b.iter(|| black_box(bound.run(model.weights(), &bound.weights, &inputs, &mut ws)))
         });
     }
     g.finish();

@@ -19,7 +19,7 @@ use tt_runtime::{RuntimeKind, VariantProfile};
 fn variant_graph(profile: &VariantProfile, batch: usize, seq: usize) -> tt_graph::Graph {
     let bound = graph_skeleton(&BertConfig::base(), batch, seq, false);
     match profile.fusion {
-        tt_runtime::FusionLevel::Fused => bound.graph,
+        tt_runtime::FusionLevel::Fused => bound.program.graph,
         tt_runtime::FusionLevel::Decomposed => decompose(&bound.graph),
     }
 }

@@ -11,11 +11,11 @@ use tt_graph::{Graph, OpKind, TensorClass};
 use tt_kernels as k;
 use tt_tensor::{sgemm, GemmSpec, Tensor};
 
-use crate::bound::{BoundGraph, InputBinding};
 use crate::encoder_layer::{
     declare_layer_weights, emit_layer, encoder_layer_program, layer_forward_with, EncoderDims,
     EncoderLayerWeights,
 };
+use crate::program::{BoundProgram, Workspace};
 use crate::weights::{WeightInit, WeightStore};
 
 /// ALBERT hyper-parameters.
@@ -170,15 +170,16 @@ impl Albert {
         let dims = self.config.dims();
         let mask_slice = mask.map(|m| m.as_slice());
         let prog = encoder_layer_program(&dims, batch, seq, mask_slice.is_some());
+        let mut ws = Workspace::default();
         for _ in 0..self.config.num_layers {
-            layer_forward_with(&prog, &self.store, &self.shared_layer, &mut x, mask_slice);
+            layer_forward_with(&prog, &self.store, &self.shared_layer, &mut x, mask_slice, &mut ws);
         }
         Tensor::from_vec([batch, seq, h], x).expect("sized by construction")
     }
 
     /// Build the fused graph; the shared weights are declared once and
     /// referenced by every layer (compare [`crate::bert::Bert::build_graph`]).
-    pub fn build_graph(&self, batch: usize, seq: usize, masked: bool) -> BoundGraph {
+    pub fn build_graph(&self, batch: usize, seq: usize, masked: bool) -> BoundProgram {
         build_albert_graph(
             &self.config,
             self.word_emb,
@@ -197,7 +198,12 @@ impl Albert {
 /// Build the ALBERT graph *skeleton* with fabricated weight indices — for
 /// shape/cost analysis without touching a weight store (see
 /// [`crate::bert::graph_skeleton`]).
-pub fn graph_skeleton(config: &AlbertConfig, batch: usize, seq: usize, masked: bool) -> BoundGraph {
+pub fn graph_skeleton(
+    config: &AlbertConfig,
+    batch: usize,
+    seq: usize,
+    masked: bool,
+) -> BoundProgram {
     let mut next = 5usize;
     let shared = EncoderLayerWeights::fabricate(&mut next);
     build_albert_graph(config, 0, 1, 2, 3, 4, &shared, batch, seq, masked)
@@ -216,7 +222,7 @@ fn build_albert_graph(
     batch: usize,
     seq: usize,
     masked: bool,
-) -> BoundGraph {
+) -> BoundProgram {
     {
         assert!(seq <= config.max_position, "seq {seq} exceeds position table");
         let mut g = Graph::new();
@@ -225,14 +231,7 @@ fn build_albert_graph(
         let h = config.model_dim();
 
         let ids = g.add_tensor("ids", vec![batch, seq], TensorClass::Input);
-        let mut inputs = vec![(ids, InputBinding::TokenIds)];
-        let mask = if masked {
-            let m = g.add_tensor("mask", vec![batch, seq], TensorClass::Input);
-            inputs.push((m, InputBinding::AttentionMask));
-            Some(m)
-        } else {
-            None
-        };
+        let mask = masked.then(|| g.add_tensor("mask", vec![batch, seq], TensorClass::Input));
 
         let word = g.add_tensor("word_emb", vec![config.vocab_size, e], TensorClass::Weight);
         bindings.push((word, word_emb));
@@ -264,10 +263,9 @@ fn build_albert_graph(
         g.tensors[x].class = TensorClass::Output;
         g.tensors[x].name = "encoder_output".into();
 
-        // Fine-grained emission → fusion pass → rebound fused graph.
-        let fine = BoundGraph { graph: g, weights: bindings, inputs, output: x };
-        let fused = tt_graph::fusion::fuse(&fine.graph);
-        fine.rebind(fused)
+        // Fine-grained emission → fusion pass → bound program.
+        let inputs: Vec<_> = std::iter::once(ids).chain(mask).collect();
+        BoundProgram::compile(&g, &bindings, &inputs, &[x])
     }
 }
 

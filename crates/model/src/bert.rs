@@ -1,14 +1,16 @@
 //! BERT encoder (Devlin et al.), the paper's primary evaluation model.
 
+use std::sync::{Mutex, PoisonError};
+
 use tt_graph::{Graph, OpKind, TensorClass};
 use tt_kernels as k;
 use tt_tensor::Tensor;
 
-use crate::bound::{BoundGraph, InputBinding};
 use crate::encoder_layer::{
     declare_layer_weights, emit_layer, encoder_layer_program, layer_forward_with, EncoderDims,
     EncoderLayerWeights,
 };
+use crate::program::{BoundProgram, Workspace};
 use crate::weights::{WeightInit, WeightStore};
 
 /// BERT hyper-parameters.
@@ -81,7 +83,8 @@ impl BertConfig {
     }
 }
 
-/// A BERT model: config + weights.
+/// A BERT model: config + weights, plus the workspace [`Bert::forward`]
+/// plans its activations in (its chunks persist across calls).
 #[derive(Debug)]
 pub struct Bert {
     /// Hyper-parameters.
@@ -92,6 +95,7 @@ pub struct Bert {
     emb_ln_gamma: usize,
     emb_ln_beta: usize,
     layers: Vec<EncoderLayerWeights>,
+    workspace: Mutex<Workspace>,
 }
 
 impl Bert {
@@ -108,7 +112,16 @@ impl Bert {
         let layers = (0..config.num_layers)
             .map(|_| EncoderLayerWeights::create(&mut store, &mut init, &dims))
             .collect();
-        Bert { config: config.clone(), store, word_emb, pos_emb, emb_ln_gamma, emb_ln_beta, layers }
+        Bert {
+            config: config.clone(),
+            store,
+            word_emb,
+            pos_emb,
+            emb_ln_gamma,
+            emb_ln_beta,
+            layers,
+            workspace: Mutex::default(),
+        }
     }
 
     /// The weight store (for graph execution).
@@ -150,6 +163,7 @@ impl Bert {
             emb_ln_gamma: 2,
             emb_ln_beta: 3,
             layers,
+            workspace: Mutex::default(),
         })
     }
 
@@ -159,7 +173,7 @@ impl Bert {
     }
 
     /// Attach int8 sidecars to every encoder GEMM weight (`[k, n]` layout).
-    /// The graph executor then routes those MatMuls through `sgemm_q8`;
+    /// The interpreter then routes those MatMuls through `sgemm_q8`;
     /// embeddings and LayerNorm parameters stay f32.
     pub fn quantize_int8(&mut self) {
         for i in 0..self.layers.len() {
@@ -206,15 +220,20 @@ impl Bert {
         // One fused-program compilation serves every layer: each call
         // rebinds the weight slots to that layer's store indices.
         let prog = encoder_layer_program(&dims, batch, seq, mask_slice.is_some());
+        // A forward that panicked mid-run leaves the workspace valid: every
+        // run re-plans, and writes each activation before reading it.
+        let mut ws = self.workspace.lock().unwrap_or_else(PoisonError::into_inner);
         for lw in &self.layers {
-            layer_forward_with(&prog, &self.store, lw, &mut x, mask_slice);
+            layer_forward_with(&prog, &self.store, lw, &mut x, mask_slice, &mut ws);
         }
         Tensor::from_vec([batch, seq, h], x).expect("sized by construction")
     }
 
-    /// Build the fused computation graph for a `(batch, seq)` problem.
-    /// `masked` adds the attention-mask input (required for padded batches).
-    pub fn build_graph(&self, batch: usize, seq: usize, masked: bool) -> BoundGraph {
+    /// Compile the whole model for a `(batch, seq)` problem into one fused
+    /// program bound to this model's weights. Inputs are the `[batch, seq]`
+    /// f32 token ids, then (with `masked`, required for padded batches) the
+    /// additive attention mask; the one output is the final hidden states.
+    pub fn build_graph(&self, batch: usize, seq: usize, masked: bool) -> BoundProgram {
         build_bert_graph(
             &self.config,
             self.word_emb,
@@ -234,7 +253,7 @@ impl Bert {
 /// store. Used for shape/cost analysis (e.g. the serving framework's
 /// `cached_cost` warm-up) where initializing 400 MB of parameters would be
 /// pure waste.
-pub fn graph_skeleton(config: &BertConfig, batch: usize, seq: usize, masked: bool) -> BoundGraph {
+pub fn graph_skeleton(config: &BertConfig, batch: usize, seq: usize, masked: bool) -> BoundProgram {
     let mut next = 4usize; // 0..4 are the embedding-side weights
     let layers: Vec<EncoderLayerWeights> =
         (0..config.num_layers).map(|_| EncoderLayerWeights::fabricate(&mut next)).collect();
@@ -253,7 +272,7 @@ fn build_bert_graph(
     batch: usize,
     seq: usize,
     masked: bool,
-) -> BoundGraph {
+) -> BoundProgram {
     {
         assert!(seq <= config.max_position, "seq {seq} exceeds position table");
         let mut g = Graph::new();
@@ -261,14 +280,7 @@ fn build_bert_graph(
         let h = config.model_dim();
 
         let ids = g.add_tensor("ids", vec![batch, seq], TensorClass::Input);
-        let mut inputs = vec![(ids, InputBinding::TokenIds)];
-        let mask = if masked {
-            let m = g.add_tensor("mask", vec![batch, seq], TensorClass::Input);
-            inputs.push((m, InputBinding::AttentionMask));
-            Some(m)
-        } else {
-            None
-        };
+        let mask = masked.then(|| g.add_tensor("mask", vec![batch, seq], TensorClass::Input));
 
         let word = g.add_tensor("word_emb", vec![config.vocab_size, h], TensorClass::Weight);
         bindings.push((word, word_emb));
@@ -294,12 +306,10 @@ fn build_bert_graph(
         g.tensors[x].class = TensorClass::Output;
         g.tensors[x].name = "encoder_output".into();
 
-        // Emission above is fine-grained; the fusion pass produces the
-        // fused graph the executor issues (weights/inputs/outputs survive
-        // by name, so rebinding is exact).
-        let fine = BoundGraph { graph: g, weights: bindings, inputs, output: x };
-        let fused = tt_graph::fusion::fuse(&fine.graph);
-        fine.rebind(fused)
+        // Emission above is fine-grained; compiling runs the fusion pass
+        // (weights/inputs/outputs survive it by name).
+        let inputs: Vec<_> = std::iter::once(ids).chain(mask).collect();
+        BoundProgram::compile(&g, &bindings, &inputs, &[x])
     }
 }
 
@@ -367,7 +377,9 @@ mod tests {
         assert_eq!(stats.gemm_nodes, 8 * cfg.num_layers);
         assert_eq!(stats.nodes, 2 + 16 * cfg.num_layers);
         assert_eq!(bg.weights.len(), 4 + 16 * cfg.num_layers);
-        assert_eq!(bg.inputs.len(), 2);
+        assert_eq!(bg.weight_slot_count(), bg.weights.len());
+        let inputs = bg.graph.tensors.iter().filter(|t| t.class == TensorClass::Input).count();
+        assert_eq!(inputs, 2);
         bg.graph.topo_order();
     }
 

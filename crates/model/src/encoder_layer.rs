@@ -10,7 +10,7 @@
 
 use tt_graph::{Graph, OpKind, TensorClass, TensorId};
 
-use crate::program::Program;
+use crate::program::{BoundProgram, Program, Workspace};
 use crate::weights::{WeightInit, WeightStore};
 
 /// Dimensions of an encoder layer.
@@ -150,12 +150,8 @@ pub fn encoder_layer_program(
     let w = declare_layer_weights(&mut g, &mut bindings, &lw, dims, "layer");
     let y = emit_layer(&mut g, &w, dims, batch, seq, x, mask, "layer");
     g.tensors[y].class = TensorClass::Output;
-    let weight_ids: Vec<TensorId> = bindings.iter().map(|&(t, _)| t).collect();
-    let mut input_ids = vec![x];
-    if let Some(m) = mask {
-        input_ids.push(m);
-    }
-    Program::compile(&g, &weight_ids, &input_ids, &[y])
+    let inputs: Vec<TensorId> = std::iter::once(x).chain(mask).collect();
+    BoundProgram::compile(&g, &bindings, &inputs, &[y]).program
 }
 
 /// The weight-index table binding one layer's store indices to the slots
@@ -186,8 +182,9 @@ pub fn encoder_weight_table(lw: &EncoderLayerWeights) -> Vec<usize> {
 /// attention mask, if any.
 ///
 /// The layer is compiled through the fusion pass and executed as a
-/// [`Program`] — the fused bias+GELU / bias+residual+LayerNorm /
-/// scale+mask+softmax kernels are issued by the pass, not hand-called.
+/// [`Program`] in a fresh [`Workspace`] — the fused bias+GELU /
+/// bias+residual+LayerNorm / scale+mask+softmax kernels are issued by the
+/// pass, not hand-called.
 pub fn layer_forward(
     store: &WeightStore,
     lw: &EncoderLayerWeights,
@@ -199,24 +196,23 @@ pub fn layer_forward(
 ) {
     assert_eq!(x.len(), batch * seq * dims.hidden(), "layer input size");
     let prog = encoder_layer_program(dims, batch, seq, mask.is_some());
-    layer_forward_with(&prog, store, lw, x, mask);
+    layer_forward_with(&prog, store, lw, x, mask, &mut Workspace::default());
 }
 
 /// [`layer_forward`] with a pre-compiled program (all layers of a model
-/// share one compilation when their shapes agree).
+/// share one compilation when their shapes agree) and a caller-owned
+/// workspace (whose chunks every layer reuses).
 pub fn layer_forward_with(
     prog: &Program,
     store: &WeightStore,
     lw: &EncoderLayerWeights,
     x: &mut Vec<f32>,
     mask: Option<&[f32]>,
+    ws: &mut Workspace,
 ) {
     let table = encoder_weight_table(lw);
-    let mut ins: Vec<&[f32]> = vec![x.as_slice()];
-    if let Some(m) = mask {
-        ins.push(m);
-    }
-    let mut outs = prog.run(store, &table, &ins);
+    let ins: Vec<&[f32]> = std::iter::once(x.as_slice()).chain(mask).collect();
+    let mut outs = prog.run(store, &table, &ins, ws);
     *x = outs.pop().expect("one output slot");
 }
 

@@ -9,15 +9,17 @@
 //! pattern (no bias+residual+LN epilogue), and there is no cross-attention,
 //! so generation cost is pure self-attention + FFN.
 
+use std::sync::{Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tt_alloc::{KvError, KvSeq, PagedKvArena, PagedKvConfig};
+use tt_alloc::{KvError, KvSeq, PagedKvArena, PagedKvConfig, TurboAllocator, TurboConfig};
 use tt_graph::{Graph, OpKind, TensorClass};
 use tt_kernels as k;
 use tt_tensor::Trans;
 
-use crate::program::Program;
+use crate::program::{ExecutorMetrics, Program, Workspace};
 use crate::weights::{int8_enabled, WeightInit, WeightStore};
 
 /// GPT hyper-parameters.
@@ -217,7 +219,9 @@ fn compile_lm_program(h: usize, vocab: usize, eps: f32) -> Program {
     Program::compile(&g, &[gamma, beta, emb], &[x], &[logits])
 }
 
-/// The model.
+/// The model. Its decode-step programs all run in one workspace, planned
+/// per program by the turbo allocator; after the first step every plan is
+/// served from the cached chunks.
 #[derive(Debug)]
 pub struct Gpt {
     /// Hyper-parameters.
@@ -232,6 +236,7 @@ pub struct Gpt {
     qkv_tables: Vec<Vec<usize>>,
     post_tables: Vec<Vec<usize>>,
     lm_table: Vec<usize>,
+    workspace: Mutex<Workspace>,
 }
 
 impl Gpt {
@@ -257,18 +262,30 @@ impl Gpt {
             .iter()
             .map(|b| vec![b.wo, b.bo, b.ln2_gamma, b.ln2_beta, b.w1, b.b1, b.w2, b.b2])
             .collect();
+        let p_qkv = compile_qkv_program(h, config.layer_norm_eps);
+        let p_post = compile_post_program(h, config.ffn_dim, config.layer_norm_eps);
+        let p_lm = compile_lm_program(h, config.vocab_size, config.layer_norm_eps);
+        // A decode step places a few KB of m = 1 activations: one chunk
+        // sized to the largest program holds every plan, where the
+        // allocator's 2 MB default would only cost page faults.
+        let chunk = [&p_qkv, &p_post, &p_lm].map(|p| p.activation_bytes()).into_iter().max();
+        let allocator = TurboAllocator::new(TurboConfig {
+            default_chunk_size: chunk.expect("three programs"),
+            ..TurboConfig::default()
+        });
         let mut gpt = Gpt {
             config: config.clone(),
             store,
             tok_emb,
             pos_emb,
             blocks,
-            p_qkv: compile_qkv_program(h, config.layer_norm_eps),
-            p_post: compile_post_program(h, config.ffn_dim, config.layer_norm_eps),
-            p_lm: compile_lm_program(h, config.vocab_size, config.layer_norm_eps),
+            p_qkv,
+            p_post,
+            p_lm,
             qkv_tables,
             post_tables,
             lm_table: vec![ln_f_gamma, ln_f_beta, tok_emb],
+            workspace: Mutex::new(Workspace { allocator, ..Workspace::default() }),
         };
         if int8_enabled() {
             gpt.quantize_int8();
@@ -294,6 +311,13 @@ impl Gpt {
             }
         }
         self.store.quantize(self.tok_emb, Trans::Yes);
+    }
+
+    /// Time every op of every subsequent step into `metrics` (the
+    /// `executor_op_nanoseconds{op}` family the encoder runtime reports
+    /// into). Decode steps record no spans.
+    pub fn attach_metrics(&mut self, metrics: ExecutorMetrics) {
+        self.workspace.get_mut().unwrap_or_else(PoisonError::into_inner).metrics = Some(metrics);
     }
 
     /// True once [`quantize_int8`](Self::quantize_int8) has run.
@@ -348,8 +372,8 @@ impl Gpt {
 
     /// Pre-LN attention input: `ln1(x)` projected to Q, K, V — each laid
     /// out `[head][head_dim]` contiguously. Runs the compiled P1 program.
-    fn qkv(&self, li: usize, x: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let mut outs = self.p_qkv.run(&self.store, &self.qkv_tables[li], &[x]);
+    fn qkv(&self, ws: &mut Workspace, li: usize, x: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let mut outs = self.p_qkv.run(&self.store, &self.qkv_tables[li], &[x], ws);
         let v = outs.pop().expect("v output");
         let kk = outs.pop().expect("k output");
         let q = outs.pop().expect("q output");
@@ -358,15 +382,23 @@ impl Gpt {
 
     /// Everything after attention for block `li`: output projection +
     /// residual, then the pre-LN FFN + residual (compiled P2 program).
-    fn post_attn_ffn(&self, li: usize, attn: &[f32], x: &[f32]) -> Vec<f32> {
-        self.p_post.run(&self.store, &self.post_tables[li], &[attn, x]).pop().expect("block output")
+    fn post_attn_ffn(&self, ws: &mut Workspace, li: usize, attn: &[f32], x: &[f32]) -> Vec<f32> {
+        let mut outs = self.p_post.run(&self.store, &self.post_tables[li], &[attn, x], ws);
+        outs.pop().expect("block output")
     }
 
     /// Final LN + tied-embedding projection (GPT-2 ties output weights to
     /// the token embedding) — compiled P3 program, whose `trans_b` GEMM
     /// takes the dispatched dot/int8 path instead of a scalar vocab loop.
-    fn lm_logits(&self, x: &[f32]) -> Vec<f32> {
-        self.p_lm.run(&self.store, &self.lm_table, &[x]).pop().expect("logits output")
+    fn lm_logits(&self, ws: &mut Workspace, x: &[f32]) -> Vec<f32> {
+        self.p_lm.run(&self.store, &self.lm_table, &[x], ws).pop().expect("logits output")
+    }
+
+    /// The decode workspace (one step at a time per model). A step that
+    /// panicked mid-run leaves it valid: every run re-plans, and writes
+    /// each activation before reading it.
+    fn workspace(&self) -> std::sync::MutexGuard<'_, Workspace> {
+        self.workspace.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Feed one token; returns the `[vocab]` logits for the next position
@@ -377,11 +409,12 @@ impl Gpt {
         let (heads, d) = (cfg.num_heads, cfg.head_dim);
         let t = state.steps;
         let mut x = self.embed(token, t);
+        let mut ws = self.workspace();
 
         let scale = 1.0 / (d as f32).sqrt();
         for li in 0..self.blocks.len() {
             // Pre-LN attention: x += attn(ln1(x)).
-            let (q, knew, vnew) = self.qkv(li, &x);
+            let (q, knew, vnew) = self.qkv(&mut ws, li, &x);
 
             // Grow the cache to [head][t+1][d].
             let cache = &mut state.caches[li];
@@ -422,10 +455,10 @@ impl Gpt {
             }
             // Output projection + residual, then pre-LN FFN + residual —
             // one compiled program (the bias+GELU fuses in the pass).
-            x = self.post_attn_ffn(li, &attn, &x);
+            x = self.post_attn_ffn(&mut ws, li, &attn, &x);
         }
         state.steps += 1;
-        self.lm_logits(&x)
+        self.lm_logits(&mut ws, &x)
     }
 
     /// The [`PagedKvConfig`] matching this model's shape: an arena built
@@ -464,11 +497,12 @@ impl Gpt {
         debug_assert_eq!(arena.config().slot_floats(), h, "arena shape mismatch");
         let pos = arena.append(seq)?;
         let mut x = self.embed(token, pos);
+        let mut ws = self.workspace();
 
         let scale = 1.0 / (d as f32).sqrt();
         for li in 0..self.blocks.len() {
             // Pre-LN attention: x += attn(ln1(x)), K/V through the page table.
-            let (q, knew, vnew) = self.qkv(li, &x);
+            let (q, knew, vnew) = self.qkv(&mut ws, li, &x);
             arena.write(seq, li, pos, &knew, &vnew)?;
 
             let mut attn = vec![0.0f32; h];
@@ -491,9 +525,9 @@ impl Gpt {
                 }
             }
             // Output projection + residual, then pre-LN FFN + residual.
-            x = self.post_attn_ffn(li, &attn, &x);
+            x = self.post_attn_ffn(&mut ws, li, &attn, &x);
         }
-        Ok(self.lm_logits(&x))
+        Ok(self.lm_logits(&mut ws, &x))
     }
 
     /// Run the whole prompt through [`step_paged`](Self::step_paged),
@@ -817,6 +851,98 @@ mod tests {
         }
         assert!(max_diff > 0.0, "quantized path must actually run");
         assert!(max_diff < 0.1, "int8 drift {max_diff} exceeds documented tolerance");
+    }
+
+    /// Greedy paged generation: prefill, then argmax-feed `n` tokens.
+    fn paged_greedy(m: &Gpt, prompt: &[u32], n: usize) -> Vec<u32> {
+        let mut arena = PagedKvArena::new(m.kv_config(16, 64));
+        let seq = arena.admit(prompt.len()).unwrap();
+        let mut logits = m.prefill_paged(&mut arena, seq, prompt).unwrap();
+        let mut out = Vec::new();
+        for _ in 0..n {
+            let next = tt_tensor::ops::argmax(&logits).unwrap() as u32;
+            out.push(next);
+            logits = m.step_paged(&mut arena, seq, next).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn greedy_tokens_match_recorded_goldens() {
+        // Recorded from the per-node-buffer interpreter this planned-arena
+        // one replaced; any numeric drift in the shared interpreter shows
+        // up here as a changed token.
+        let tiny = Gpt::new_random(&GptConfig::tiny(), 7);
+        let cases: [(&[u32], Vec<u32>); 2] = [
+            (&[1, 2, 3], vec![8, 8, 28, 28, 28, 28, 27, 28, 28, 28, 30, 8, 15, 35, 15, 35]),
+            (
+                &[30, 4, 11, 9, 2],
+                vec![
+                    28, 35, 11, 28, 27, 27, 27, 22, 30, 11, 27, 28, 28, 27, 28, 28, 28, 28, 22, 30,
+                ],
+            ),
+        ];
+        for (prompt, want) in &cases {
+            assert_eq!(&tiny.generate_greedy(prompt, want.len()), want);
+            assert_eq!(&paged_greedy(&tiny, prompt, want.len()), want);
+        }
+        // The serving benchmark's decoder: 4 layers, 4×16 heads, FFN 256.
+        let cfg = GptConfig {
+            num_layers: 4,
+            num_heads: 4,
+            head_dim: 16,
+            ffn_dim: 256,
+            vocab_size: 512,
+            max_position: 256,
+            layer_norm_eps: 1e-5,
+        };
+        let m = Gpt::new_random(&cfg, 2024);
+        let cases: [(&[u32], Vec<u32>); 2] = [
+            (
+                &[5, 17, 42, 8, 100, 300],
+                vec![
+                    383, 383, 383, 383, 383, 383, 383, 383, 383, 383, 56, 56, 56, 56, 56, 56, 383,
+                    383, 396, 81, 81, 396, 396, 81, 396, 396, 81, 396, 396, 396, 81, 81,
+                ],
+            ),
+            (
+                &[511, 0, 256, 77],
+                vec![
+                    235, 235, 56, 56, 149, 149, 142, 149, 142, 149, 149, 419, 149, 149, 149, 142,
+                    142, 149, 149, 149, 142, 419, 87, 149,
+                ],
+            ),
+        ];
+        for (prompt, want) in &cases {
+            assert_eq!(&m.generate_greedy(prompt, want.len()), want);
+            assert_eq!(&paged_greedy(&m, prompt, want.len()), want);
+        }
+    }
+
+    #[test]
+    fn decode_steps_after_the_first_allocate_nothing() {
+        // Every program of every step plans into the model's workspace;
+        // once the first step has sized its chunks, each later plan must be
+        // served entirely from them (a reuse hit, zero new bytes).
+        let m = Gpt::new_random(&GptConfig::tiny(), 27);
+        let registry = tt_telemetry::Registry::new();
+        m.workspace().allocator.attach_metrics(tt_alloc::AllocMetrics::register(&registry));
+        let counter = |name: &str| registry.counter(name, "", &[]).get();
+        let mut arena = PagedKvArena::new(m.kv_config(4, 16));
+        let seq = arena.admit(1).unwrap();
+        m.step_paged(&mut arena, seq, 3).unwrap();
+        let first_bytes = counter("alloc_new_chunk_bytes_total");
+        assert!(first_bytes > 0, "the first step sizes the chunks");
+        let (plans, hits) = (counter("alloc_plans_total"), counter("alloc_reuse_hits_total"));
+        let per_step = 2 * GptConfig::tiny().num_layers as u64 + 1;
+        let mut st = m.init_state();
+        for t in 0..12u32 {
+            m.step_paged(&mut arena, seq, t % 40).unwrap();
+            m.step(&mut st, t % 40);
+        }
+        assert_eq!(counter("alloc_plans_total") - plans, 24 * per_step);
+        assert_eq!(counter("alloc_reuse_hits_total") - hits, 24 * per_step);
+        assert_eq!(counter("alloc_new_chunk_bytes_total"), first_bytes);
     }
 
     #[test]

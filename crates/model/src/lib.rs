@@ -16,12 +16,15 @@
 //!
 //! Each encoder model offers two execution surfaces:
 //!
-//! - **eager forward** (`forward`) — a direct kernel-by-kernel
-//!   implementation, the numerical oracle;
-//! - **graph builder** (`build_graph`) — emits the fused computation graph
-//!   (paper Fig. 3) bound to the model's weights, which `tt-runtime`
-//!   interprets with planned arena memory, fuses/de-fuses for baseline
+//! - **eager forward** (`forward`) — the embedding by hand, then one
+//!   compiled encoder-layer program per layer: the numerical oracle;
+//! - **graph builder** (`build_graph`) — compiles the whole model into one
+//!   fused [`Program`] (paper Fig. 3) bound to the model's weights, which
+//!   `tt-runtime` runs over planned arena memory, de-fuses for baseline
 //!   variants, and prices on the GPU cost model.
+//!
+//! Both surfaces, and every GPT decode step, execute through the same
+//! interpreter: [`Program::run`] over a [`Workspace`]'s planned arena.
 //!
 //! Weights are deterministic seeded Xavier-style random values: the paper's
 //! experiments measure *performance*, never task accuracy, so no pretrained
@@ -29,7 +32,6 @@
 
 pub mod albert;
 pub mod bert;
-pub mod bound;
 pub mod checkpoint;
 pub mod decoder;
 pub mod encoder_layer;
@@ -39,8 +41,7 @@ pub mod seq2seq;
 pub mod tokenizer;
 pub mod weights;
 
-pub use bound::{BoundGraph, InputBinding};
-pub use program::Program;
+pub use program::{BoundProgram, Program, Workspace};
 
 use tt_tensor::Tensor;
 

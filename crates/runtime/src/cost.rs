@@ -477,7 +477,7 @@ mod tests {
             let bg = graph_skeleton(&cfg, 1, seq, false);
             let profile = kind.profile();
             let graph = match profile.fusion {
-                crate::variants::FusionLevel::Fused => bg.graph,
+                crate::variants::FusionLevel::Fused => bg.program.graph,
                 crate::variants::FusionLevel::Decomposed => tt_graph::fusion::decompose(&bg.graph),
             };
             graph_cost(&d, &profile, &graph).total()

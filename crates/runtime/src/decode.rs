@@ -14,7 +14,9 @@
 //!   of re-running the model over it in O(prefix · model).
 //!
 //! Both are timed into `tt-telemetry` histograms (`prefill_us`,
-//! `decode_step_us`) when instrumented, and both surface
+//! `decode_step_us`) when instrumented — and so is every op they run, in
+//! the same `executor_op_nanoseconds{op}` family the encoder runtime
+//! reports into (decode steps record no spans) — and both surface
 //! [`KvError::OutOfPages`] as a typed, recoverable error so the scheduler
 //! can retire one sequence without stalling the rest of the batch.
 
@@ -28,8 +30,8 @@ use tt_telemetry::{EnergyMeter, EnergyPhase, Histogram, Registry};
 
 use crate::variants::VariantProfile;
 
-/// Arena sizing for a generative runtime, overridable from the
-/// environment (`TT_KV_PAGE_SLOTS`, `TT_KV_PAGES`).
+/// Arena sizing for a generative runtime (the serving layer's
+/// `GenConfig::from_env` reads `TT_KV_PAGE_SLOTS` / `TT_KV_PAGES` into it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeConfig {
     /// Token slots per physical page.
@@ -42,26 +44,6 @@ impl Default for DecodeConfig {
     fn default() -> Self {
         DecodeConfig { page_slots: 16, num_pages: 256 }
     }
-}
-
-impl DecodeConfig {
-    /// Defaults overridden by `TT_KV_PAGE_SLOTS` / `TT_KV_PAGES` when set
-    /// and parseable; invalid values fall back silently (serving must not
-    /// fail to boot over a typo'd knob).
-    pub fn from_env() -> Self {
-        let mut cfg = DecodeConfig::default();
-        if let Some(v) = env_usize("TT_KV_PAGE_SLOTS") {
-            cfg.page_slots = v.max(1);
-        }
-        if let Some(v) = env_usize("TT_KV_PAGES") {
-            cfg.num_pages = v.max(1);
-        }
-        cfg
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
 }
 
 #[derive(Debug, Clone)]
@@ -113,10 +95,11 @@ impl GenerativeRuntime {
         GenerativeRuntime { model, arena, metrics: None, energy: None, last_energy_uj: 0 }
     }
 
-    /// Register the `kv_*` gauges (via the arena) and the decode timing
-    /// histograms in `registry`.
+    /// Register the `kv_*` gauges (via the arena), the decode timing
+    /// histograms and the per-op executor metrics in `registry`.
     pub fn instrument(&mut self, registry: &Registry) {
         self.arena.instrument(registry);
+        self.model.attach_metrics(crate::executor::ExecutorMetrics::register(registry));
         self.metrics = Some(DecodeMetrics {
             prefill_us: registry.histogram(
                 "prefill_us",
@@ -289,17 +272,5 @@ mod tests {
         // A full prompt pass costs more than a single token step.
         assert!(prefill_uj > one_step);
         assert_eq!(meter.busy_uj(), prefill_uj + one_step + rt.last_energy_uj());
-    }
-
-    #[test]
-    fn decode_config_env_overrides() {
-        // Temporarily set, read, restore: tests in this crate run in one
-        // process, so scope the mutation tightly.
-        std::env::set_var("TT_KV_PAGE_SLOTS", "8");
-        std::env::set_var("TT_KV_PAGES", "32");
-        let cfg = DecodeConfig::from_env();
-        std::env::remove_var("TT_KV_PAGE_SLOTS");
-        std::env::remove_var("TT_KV_PAGES");
-        assert_eq!(cfg, DecodeConfig { page_slots: 8, num_pages: 32 });
     }
 }

@@ -1,665 +1,8 @@
-//! The graph interpreter: executes a bound computation graph with real
-//! numerics over planned arena memory.
+//! The runtime's name for the graph interpreter's instrumentation surface.
 //!
-//! This is the paper's execution pipeline end to end: extract activation
-//! lifetimes from the topologically-sorted graph, let the
-//! sequence-length-aware allocator assign `(chunk, offset)` to every
-//! intermediate, then run the operators in order, each reading its inputs
-//! and writing its output directly inside the shared chunks. Tensors whose
-//! lifetimes do not overlap really do share bytes — the arena enforces at
-//! runtime that no operator's output aliases its inputs, so a planner bug
-//! becomes a panic, not a silent corruption.
+//! Execution itself lives in [`tt_model::program`]: one interpreter runs
+//! the encoder programs this runtime serves (planned arena, per-op metrics,
+//! spans, energies, chaos points), `Bert::forward`, and every GPT decode
+//! step. This module re-exports the pieces runtime callers name.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use tt_alloc::turbo::PlanStats;
-use tt_alloc::TurboAllocator;
-use tt_graph::{lifetime::activation_lifetimes, Graph, Node, OpKind, TensorClass, TensorId};
-use tt_kernels as k;
-use tt_model::bound::{BoundGraph, InputBinding};
-use tt_model::weights::WeightStore;
-use tt_telemetry::{AttrValue, Counter, Histogram, Registry, SpanContext, Stopwatch, Tracer};
-use tt_tensor::storage::{Arena, Region};
-use tt_tensor::{batched_sgemm, sgemm, sgemm_q8, GemmSpec, Q8Matrix, Tensor, Trans};
-
-/// Every operator class the executor dispatches, in a fixed order. The
-/// per-op time-share metrics (paper Table 2's GEMM / non-GEMM split) key
-/// off these names.
-pub const OP_NAMES: [&str; 15] = [
-    "matmul",
-    "add_bias",
-    "gelu",
-    "add_bias_gelu",
-    "split_heads",
-    "add_bias_split_heads",
-    "merge_heads",
-    "scale",
-    "mask",
-    "softmax",
-    "scale_mask_softmax",
-    "residual",
-    "layer_norm",
-    "add_bias_residual_layer_norm",
-    "embedding",
-];
-
-/// Index of an op kind into [`OP_NAMES`].
-pub fn op_index(kind: &OpKind) -> usize {
-    match kind {
-        OpKind::MatMul { .. } => 0,
-        OpKind::AddBias => 1,
-        OpKind::Gelu => 2,
-        OpKind::AddBiasGelu => 3,
-        OpKind::SplitHeads { .. } => 4,
-        OpKind::AddBiasSplitHeads { .. } => 5,
-        OpKind::MergeHeads => 6,
-        OpKind::Scale { .. } => 7,
-        OpKind::Mask => 8,
-        OpKind::Softmax => 9,
-        OpKind::ScaleMaskSoftmax { .. } => 10,
-        OpKind::Residual => 11,
-        OpKind::LayerNorm { .. } => 12,
-        OpKind::AddBiasResidualLayerNorm { .. } => 13,
-        OpKind::Embedding => 14,
-    }
-}
-
-/// Per-op-kind wall-clock histograms, mirroring the paper's Table 2
-/// breakdown of where inference time goes. Handles are resolved once at
-/// registration; the hot path pays one `Instant` read plus two relaxed
-/// atomic adds per node.
-#[derive(Debug, Clone)]
-pub struct ExecutorMetrics {
-    op_ns: Vec<Arc<Histogram>>,
-    gemm_mflops: Arc<Histogram>,
-    gemm_flops_total: Arc<Counter>,
-    fused_ops_total: Arc<Counter>,
-}
-
-impl ExecutorMetrics {
-    /// Register one `executor_op_nanoseconds{op=...}` histogram per
-    /// operator class in `registry`, plus the GEMM throughput pair:
-    /// `executor_gemm_mflops` (achieved MFLOP/s per MatMul node — the
-    /// utilization the paper's Table 2 GEMM-dominance argument rests on)
-    /// and `executor_gemm_flops_total`.
-    pub fn register(registry: &Registry) -> Self {
-        let op_ns = OP_NAMES
-            .iter()
-            .map(|name| {
-                registry.histogram(
-                    "executor_op_nanoseconds",
-                    "Wall-clock nanoseconds per executed operator, by kind",
-                    &[("op", name)],
-                )
-            })
-            .collect();
-        let gemm_mflops = registry.histogram(
-            "executor_gemm_mflops",
-            "Achieved MFLOP/s per executed MatMul node (2mnk / wall time)",
-            &[],
-        );
-        let gemm_flops_total = registry.counter(
-            "executor_gemm_flops_total",
-            "Total floating point operations issued through MatMul nodes",
-            &[],
-        );
-        let fused_ops_total = registry.counter(
-            "executor_fused_ops_total",
-            "Fused kernels (bias+GELU, bias+residual+LN, scale+mask+softmax, \
-             bias+split-heads) executed in place of their unfused chains",
-            &[],
-        );
-        ExecutorMetrics { op_ns, gemm_mflops, gemm_flops_total, fused_ops_total }
-    }
-
-    #[inline]
-    fn observe(&self, kind: &OpKind, nanos: u64) {
-        self.op_ns[op_index(kind)].record(nanos);
-        if kind.is_fused() {
-            self.fused_ops_total.inc();
-        }
-    }
-
-    #[inline]
-    fn observe_gemm(&self, flops: u64, nanos: u64) {
-        self.gemm_flops_total.add(flops);
-        // flops/ns = GFLOP/s; ×1000 for MFLOP/s resolution in the log₂
-        // histogram buckets.
-        self.gemm_mflops.record(flops.saturating_mul(1000) / nanos.max(1));
-    }
-}
-
-/// Flops of one graph node if it is a MatMul (2·batch·m·n·k), mirroring the
-/// shape derivation in the executor's dispatch step; `None` for every other op.
-pub fn matmul_flops(graph: &Graph, node: &Node) -> Option<u64> {
-    let OpKind::MatMul { trans_b, .. } = &node.kind else {
-        return None;
-    };
-    let a = &graph.tensors[node.inputs[0]].shape;
-    let b = &graph.tensors[node.inputs[1]].shape;
-    let (batch, m, k, n) = if b.len() == 2 {
-        (
-            1,
-            a[..a.len() - 1].iter().product::<usize>(),
-            a[a.len() - 1],
-            if *trans_b { b[0] } else { b[1] },
-        )
-    } else {
-        (a[0] * a[1], a[2], a[3], if *trans_b { b[2] } else { b[3] })
-    };
-    Some(2 * batch as u64 * m as u64 * k as u64 * n as u64)
-}
-
-/// Tracing hook for one execution: the collector plus the parent span
-/// contexts to record under. A batch can carry several sampled requests,
-/// so the allocator-plan and per-op spans are recorded once per parent —
-/// each request's trace tells its own complete story.
-pub type TraceHook<'a> = (&'a Tracer, &'a [SpanContext]);
-
-/// Result of one executed inference.
-#[derive(Debug)]
-pub struct Execution {
-    /// The graph's output tensor.
-    pub output: Tensor,
-    /// Allocator statistics of this inference's plan.
-    pub plan_stats: PlanStats,
-    /// Activation bytes the plan had to cover (sum over live tensors).
-    pub activation_bytes: usize,
-}
-
-/// Execute a bound graph. `inputs` supplies one tensor per input role the
-/// graph declares. The allocator and arena persist across calls — that is
-/// the chunk-cache the paper's allocator is built around.
-pub fn execute(
-    bound: &BoundGraph,
-    store: &WeightStore,
-    inputs: &[(InputBinding, &Tensor)],
-    allocator: &mut TurboAllocator,
-    arena: &mut Arena,
-) -> Execution {
-    execute_with(bound, store, inputs, allocator, arena, None)
-}
-
-/// [`execute`], optionally timing every operator into per-kind histograms.
-pub fn execute_with(
-    bound: &BoundGraph,
-    store: &WeightStore,
-    inputs: &[(InputBinding, &Tensor)],
-    allocator: &mut TurboAllocator,
-    arena: &mut Arena,
-    metrics: Option<&ExecutorMetrics>,
-) -> Execution {
-    execute_traced(bound, store, inputs, allocator, arena, metrics, None, None)
-}
-
-/// [`execute_with`], additionally recording request-scoped spans: one
-/// `alloc_plan` span (chunks touched, bytes reused) and one span per
-/// executed operator (shape; achieved GFLOP/s for MatMuls; modeled
-/// `energy_uj` when per-node joules are supplied) under every parent
-/// context in the hook. `energies` is indexed by node id, as produced by
-/// [`crate::cost::node_energies`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_traced(
-    bound: &BoundGraph,
-    store: &WeightStore,
-    inputs: &[(InputBinding, &Tensor)],
-    allocator: &mut TurboAllocator,
-    arena: &mut Arena,
-    metrics: Option<&ExecutorMetrics>,
-    trace: Option<TraceHook<'_>>,
-    energies: Option<&[f64]>,
-) -> Execution {
-    let graph = &bound.graph;
-    let (usages, order) = activation_lifetimes(graph);
-    let activation_bytes: usize = usages.iter().map(|u| u.size).sum();
-    let plan_start = trace.map(|(t, _)| (t.now_ns(), Stopwatch::start()));
-    // Chaos injection point: an unsatisfiable allocation plan (device
-    // memory exhausted, pathological fragmentation). Panics here unwind to
-    // the serving loop's catch_unwind — one dropped batch, never a dead
-    // engine.
-    tt_chaos::alloc_plan_fail();
-    let plan = allocator.plan(&usages);
-    if let (Some((tracer, parents)), Some((start_ns, watch))) = (trace, plan_start) {
-        let dur_ns = watch.elapsed_nanos();
-        let stats = allocator.last_stats();
-        for ctx in parents {
-            tracer.record_span(
-                ctx.trace,
-                Some(ctx.span),
-                "alloc_plan",
-                start_ns,
-                dur_ns,
-                vec![
-                    ("chunks", AttrValue::Int(plan.chunk_sizes.len() as i64)),
-                    ("new_chunks", AttrValue::Int(stats.new_chunks as i64)),
-                    ("new_bytes", AttrValue::Int(stats.new_bytes as i64)),
-                    (
-                        "reused_bytes",
-                        AttrValue::Int(stats.footprint.saturating_sub(stats.new_bytes) as i64),
-                    ),
-                    ("footprint_bytes", AttrValue::Int(stats.footprint as i64)),
-                ],
-            );
-        }
-    }
-    tt_alloc::validate_plan(&usages, &plan).expect("allocator produced an unsafe plan");
-
-    // Materialize chunks (bytes → f32 elements; all sizes are 4-aligned).
-    for (i, &size) in plan.chunk_sizes.iter().enumerate() {
-        debug_assert_eq!(size % 4, 0);
-        arena.ensure_chunk(i, size / 4);
-    }
-    arena.truncate_chunks(plan.chunk_sizes.len().max(1));
-
-    let region_of: HashMap<TensorId, Region> = plan
-        .assignments
-        .iter()
-        .map(|a| {
-            debug_assert_eq!(a.offset % 4, 0);
-            (a.tensor, Region::new(a.chunk, a.offset / 4, a.size / 4))
-        })
-        .collect();
-
-    let input_of = |role: InputBinding| -> &Tensor {
-        inputs
-            .iter()
-            .find(|(r, _)| *r == role)
-            .map(|(_, t)| *t)
-            .unwrap_or_else(|| panic!("missing input {role:?}"))
-    };
-
-    // The single output tensor gets its own buffer.
-    let out_info = &graph.tensors[bound.output];
-    let mut output_buf = vec![0.0f32; out_info.elements()];
-
-    for &node_id in &order {
-        let node = &graph.nodes[node_id];
-
-        // Classify each input: external slice or arena region.
-        enum Src<'s> {
-            Ext(&'s [f32]),
-            Arena(Region),
-        }
-        let srcs: Vec<Src<'_>> = node
-            .inputs
-            .iter()
-            .map(|&t| match graph.tensors[t].class {
-                TensorClass::Weight => {
-                    let w = bound.weight_index(t).unwrap_or_else(|| {
-                        panic!("weight tensor {} unbound", graph.tensors[t].name)
-                    });
-                    Src::Ext(store.get(w).as_slice())
-                }
-                TensorClass::Input => {
-                    let role = bound.input_role(t).unwrap_or_else(|| {
-                        panic!("input tensor {} unbound", graph.tensors[t].name)
-                    });
-                    Src::Ext(input_of(role).as_slice())
-                }
-                TensorClass::Activation => Src::Arena(region_of[&t]),
-                TensorClass::Output => {
-                    panic!("output tensor {} used as an input", graph.tensors[t].name)
-                }
-            })
-            .collect();
-
-        // Chaos injection points: a kernel panic (bad launch, device-side
-        // assert) or an op running far slower than its cost-table estimate.
-        tt_chaos::executor_op_panic();
-        if let Some(delay) = tt_chaos::op_slowdown() {
-            std::thread::sleep(delay);
-        }
-
-        // int8 sidecar lookup: a MatMul whose second operand is a bound
-        // weight may run through the quantized kernel (dispatch checks the
-        // layout actually matches the node's transpose flag).
-        let quant = match &node.kind {
-            OpKind::MatMul { .. } if graph.tensors[node.inputs[1]].class == TensorClass::Weight => {
-                bound.weight_index(node.inputs[1]).and_then(|w| store.quant(w))
-            }
-            _ => None,
-        };
-
-        let op_start_ns = trace.map(|(t, _)| t.now_ns());
-        let watch = (metrics.is_some() || trace.is_some()).then(Stopwatch::start);
-        if node.output == bound.output {
-            // Output goes to the dedicated buffer; arena is read-only here.
-            let ins: Vec<&[f32]> = srcs
-                .iter()
-                .map(|s| match s {
-                    Src::Ext(x) => *x,
-                    Src::Arena(r) => arena.slice(*r),
-                })
-                .collect();
-            dispatch(graph, node, &ins, quant, &mut output_buf);
-        } else {
-            let out_region = region_of[&node.output];
-            let regions: Vec<Region> = srcs
-                .iter()
-                .filter_map(|s| match s {
-                    Src::Arena(r) => Some(*r),
-                    Src::Ext(_) => None,
-                })
-                .collect();
-            let (arena_ins, out) = arena.io(&regions, out_region);
-            let mut it = arena_ins.into_iter();
-            let ins: Vec<&[f32]> = srcs
-                .iter()
-                .map(|s| match s {
-                    Src::Ext(x) => *x,
-                    Src::Arena(_) => it.next().expect("one arena view per region"),
-                })
-                .collect();
-            dispatch(graph, node, &ins, quant, out);
-        }
-        if let Some(w) = watch {
-            let nanos = w.elapsed_nanos();
-            let flops = matmul_flops(graph, node);
-            if let Some(m) = metrics {
-                m.observe(&node.kind, nanos);
-                if let Some(flops) = flops {
-                    m.observe_gemm(flops, nanos);
-                }
-            }
-            if let (Some((tracer, parents)), Some(start_ns)) = (trace, op_start_ns) {
-                let shape = graph.tensors[node.output]
-                    .shape
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join("x");
-                for ctx in parents {
-                    let mut attrs = vec![("shape", AttrValue::Str(shape.clone()))];
-                    if let Some(flops) = flops {
-                        // flops per nanosecond is numerically GFLOP/s.
-                        attrs
-                            .push(("gflops", AttrValue::Float(flops as f64 / nanos.max(1) as f64)));
-                    }
-                    if let Some(joules) = energies.and_then(|e| e.get(node_id)) {
-                        attrs.push(("energy_uj", AttrValue::Int((joules * 1e6).round() as i64)));
-                    }
-                    tracer.record_span(
-                        ctx.trace,
-                        Some(ctx.span),
-                        OP_NAMES[op_index(&node.kind)],
-                        start_ns,
-                        nanos,
-                        attrs,
-                    );
-                }
-            }
-        }
-    }
-
-    let output = Tensor::from_vec(out_info.shape.clone(), output_buf)
-        .expect("output buffer sized from the shape");
-    Execution { output, plan_stats: allocator.last_stats(), activation_bytes }
-}
-
-/// Execute one operator: `ins` in the node's input order, `out` the
-/// preallocated output region. `quant` is the int8 sidecar of a MatMul's
-/// weight operand, when one exists.
-fn dispatch(graph: &Graph, node: &Node, ins: &[&[f32]], quant: Option<&Q8Matrix>, out: &mut [f32]) {
-    let shape_of = |i: usize| -> &[usize] { &graph.tensors[node.inputs[i]].shape };
-    let out_shape: &[usize] = &graph.tensors[node.output].shape;
-
-    match &node.kind {
-        OpKind::MatMul { trans_b, alpha } => {
-            let a = shape_of(0);
-            let b = shape_of(1);
-            if b.len() == 2 {
-                // 2-D weight: `[k, n]`, or `[n, k]` under trans_b (the
-                // tied-embedding lm head layout).
-                let m: usize = a[..a.len() - 1].iter().product();
-                let kk = a[a.len() - 1];
-                let (tb, n) = if *trans_b { (Trans::Yes, b[0]) } else { (Trans::No, b[1]) };
-                if let Some(q) = quant {
-                    if q.trans() == tb && q.k == kk && q.n == n {
-                        sgemm_q8(m, *alpha, ins[0], q, out);
-                        return;
-                    }
-                }
-                let spec = GemmSpec { m, k: kk, n, ta: Trans::No, tb, alpha: *alpha, beta: 0.0 };
-                sgemm(spec, ins[0], ins[1], out);
-            } else {
-                let batch = a[0] * a[1];
-                let (m, kk) = (a[2], a[3]);
-                let (tb, n) = if *trans_b { (Trans::Yes, b[2]) } else { (Trans::No, b[3]) };
-                let spec = GemmSpec { m, k: kk, n, ta: Trans::No, tb, alpha: *alpha, beta: 0.0 };
-                batched_sgemm(batch, spec, ins[0], ins[1], out);
-            }
-        }
-        OpKind::AddBias => {
-            let cols = *out_shape.last().expect("rank >= 1");
-            out.copy_from_slice(ins[0]);
-            k::add_bias(out.len() / cols, cols, out, ins[1]);
-        }
-        OpKind::Gelu => {
-            out.copy_from_slice(ins[0]);
-            k::gelu(out);
-        }
-        OpKind::AddBiasGelu => {
-            let cols = *out_shape.last().expect("rank >= 1");
-            out.copy_from_slice(ins[0]);
-            k::add_bias_gelu(out.len() / cols, cols, out, ins[1]);
-        }
-        OpKind::SplitHeads { heads } => {
-            let (b, s) = (shape_of(0)[0], shape_of(0)[1]);
-            let d = out_shape[3];
-            k::split_heads(b, s, *heads, d, ins[0], out);
-        }
-        OpKind::AddBiasSplitHeads { heads } => {
-            let (b, s) = (shape_of(0)[0], shape_of(0)[1]);
-            let d = out_shape[3];
-            k::add_bias_split_heads(b, s, *heads, d, ins[0], ins[1], out);
-        }
-        OpKind::MergeHeads => {
-            let src = shape_of(0); // [b, h, s, d]
-            k::merge_heads(src[0], src[2], src[1], src[3], ins[0], out);
-        }
-        OpKind::Scale { alpha } => {
-            for (o, &x) in out.iter_mut().zip(ins[0]) {
-                *o = x * alpha;
-            }
-        }
-        OpKind::Mask => {
-            // scores [b, h, sq, sk] + mask [b, sk].
-            let s = shape_of(0);
-            let (b, h, sq, sk) = (s[0], s[1], s[2], s[3]);
-            for ((row, o_row), i_row) in
-                (0..b * h * sq).zip(out.chunks_mut(sk)).zip(ins[0].chunks(sk))
-            {
-                let bi = row / (h * sq);
-                let mrow = &ins[1][bi * sk..(bi + 1) * sk];
-                for ((o, &x), &m) in o_row.iter_mut().zip(i_row).zip(mrow) {
-                    *o = x + m;
-                }
-            }
-        }
-        OpKind::Softmax => {
-            let len = *out_shape.last().expect("rank >= 1");
-            out.copy_from_slice(ins[0]);
-            k::softmax_rows(out.len() / len, len, out);
-        }
-        OpKind::ScaleMaskSoftmax { scale } => {
-            let s = shape_of(0);
-            let sk = *s.last().expect("rank >= 1");
-            out.copy_from_slice(ins[0]);
-            if s.len() == 4 {
-                // Attention scores [b, h, sq, sk], mask broadcast per batch.
-                k::scale_mask_softmax(s[0], s[1], s[2], sk, *scale, ins.get(1).copied(), out);
-            } else {
-                // Generic fused scale+softmax over the last dim (a fusion
-                // of Scale→Softmax outside the attention pattern).
-                assert!(ins.len() == 1, "mask requires [b, h, sq, sk] scores");
-                tt_tensor::ops::scale_inplace(out, *scale);
-                k::softmax_rows(out.len() / sk.max(1), sk, out);
-            }
-        }
-        OpKind::Residual => {
-            out.copy_from_slice(ins[0]);
-            k::residual_add(out, ins[1]);
-        }
-        OpKind::LayerNorm { eps } => {
-            let hidden = *out_shape.last().expect("rank >= 1");
-            k::layer_norm(out.len() / hidden, hidden, ins[0], ins[1], ins[2], *eps, out);
-        }
-        OpKind::AddBiasResidualLayerNorm { eps } => {
-            let hidden = *out_shape.last().expect("rank >= 1");
-            k::add_bias_residual_layer_norm(
-                out.len() / hidden,
-                hidden,
-                ins[0],
-                ins[1],
-                ins[2],
-                ins[3],
-                ins[4],
-                *eps,
-                out,
-            );
-        }
-        OpKind::Embedding => {
-            // inputs: ids [b, s] (f32), word table, pos table.
-            let ids_shape = shape_of(0);
-            let (b, s) = (ids_shape[0], ids_shape[1]);
-            let hidden = *out_shape.last().expect("rank >= 1");
-            let ids: Vec<u32> = ins[0].iter().map(|&v| v as u32).collect();
-            k::embed(b, s, hidden, &ids, ins[1], ins[2], None, out);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tt_model::albert::{Albert, AlbertConfig};
-    use tt_model::bert::{Bert, BertConfig};
-    use tt_model::{ids_batch, pad_batch};
-
-    fn run(
-        bound: &BoundGraph,
-        store: &WeightStore,
-        inputs: &[(InputBinding, &Tensor)],
-    ) -> Execution {
-        let mut alloc = TurboAllocator::default();
-        let mut arena = Arena::new();
-        execute(bound, store, inputs, &mut alloc, &mut arena)
-    }
-
-    #[test]
-    fn graph_execution_matches_eager_bert() {
-        let cfg = BertConfig::tiny();
-        let model = Bert::new_random(&cfg, 21);
-        let ids = ids_batch(&[&[3, 1, 4, 1, 5]]);
-        let eager = model.forward(&ids, None);
-        let bound = model.build_graph(1, 5, false);
-        let exec = run(&bound, model.weights(), &[(InputBinding::TokenIds, &ids)]);
-        assert!(
-            exec.output.approx_eq(&eager, 1e-4),
-            "planned-arena execution must match eager: diff {}",
-            exec.output.max_abs_diff(&eager).unwrap()
-        );
-    }
-
-    #[test]
-    fn masked_graph_execution_matches_eager() {
-        let cfg = BertConfig::tiny();
-        let model = Bert::new_random(&cfg, 22);
-        let (ids, mask, max_len) = pad_batch(&[&[9, 8, 7], &[1, 2, 3, 4, 5]]);
-        let eager = model.forward(&ids, Some(&mask));
-        let bound = model.build_graph(2, max_len, true);
-        let exec = run(
-            &bound,
-            model.weights(),
-            &[(InputBinding::TokenIds, &ids), (InputBinding::AttentionMask, &mask)],
-        );
-        assert!(exec.output.approx_eq(&eager, 1e-4));
-    }
-
-    #[test]
-    fn decomposed_graph_computes_the_same_numbers() {
-        // The fusion pass must be semantics-preserving end to end.
-        let cfg = BertConfig::tiny();
-        let model = Bert::new_random(&cfg, 23);
-        let ids = ids_batch(&[&[10, 20, 30, 40]]);
-        let bound = model.build_graph(1, 4, false);
-        let fused = run(&bound, model.weights(), &[(InputBinding::TokenIds, &ids)]);
-
-        let decomposed_graph = tt_graph::fusion::decompose(&bound.graph);
-        let decomposed = bound.rebind(decomposed_graph);
-        let unfused = run(&decomposed, model.weights(), &[(InputBinding::TokenIds, &ids)]);
-        assert!(
-            fused.output.approx_eq(&unfused.output, 1e-4),
-            "fused and decomposed graphs must agree: diff {}",
-            fused.output.max_abs_diff(&unfused.output).unwrap()
-        );
-    }
-
-    #[test]
-    fn albert_graph_execution_matches_eager() {
-        let cfg = AlbertConfig::tiny();
-        let model = Albert::new_random(&cfg, 31);
-        let ids = ids_batch(&[&[5, 6, 7, 8]]);
-        let eager = model.forward(&ids, None);
-        let bound = model.build_graph(1, 4, false);
-        let exec = run(&bound, model.weights(), &[(InputBinding::TokenIds, &ids)]);
-        assert!(exec.output.approx_eq(&eager, 1e-4));
-    }
-
-    #[test]
-    fn arena_is_reused_across_variable_lengths() {
-        let cfg = BertConfig::tiny();
-        let model = Bert::new_random(&cfg, 24);
-        let mut alloc = TurboAllocator::default();
-        let mut arena = Arena::new();
-
-        // Long request warms the chunks; short requests reuse them.
-        for &len in &[20usize, 5, 12, 20, 3] {
-            let row: Vec<u32> = (0..len as u32).collect();
-            let ids = ids_batch(&[&row]);
-            let bound = model.build_graph(1, len, false);
-            let exec = execute(
-                &bound,
-                model.weights(),
-                &[(InputBinding::TokenIds, &ids)],
-                &mut alloc,
-                &mut arena,
-            );
-            assert_eq!(exec.output.shape().dims(), &[1, len, cfg.model_dim()]);
-            if len < 20 {
-                assert_eq!(
-                    exec.plan_stats.new_bytes, 0,
-                    "shorter requests must not allocate (len {len})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn plan_footprint_is_far_below_total_activations() {
-        // The reuse headline: planned footprint ≪ sum of activation sizes.
-        let cfg = BertConfig::tiny();
-        let model = Bert::new_random(&cfg, 25);
-        let ids = ids_batch(&[&[1u32; 32][..]]);
-        let bound = model.build_graph(1, 32, false);
-        let mut alloc = TurboAllocator::new(tt_alloc::TurboConfig {
-            default_chunk_size: 16 * 1024,
-            ..Default::default()
-        });
-        let mut arena = Arena::new();
-        let exec = execute(
-            &bound,
-            model.weights(),
-            &[(InputBinding::TokenIds, &ids)],
-            &mut alloc,
-            &mut arena,
-        );
-        assert!(
-            exec.plan_stats.footprint * 2 < exec.activation_bytes,
-            "lifetime reuse should at least halve the footprint: {} vs {}",
-            exec.plan_stats.footprint,
-            exec.activation_bytes
-        );
-    }
-}
+pub use tt_model::program::{matmul_flops, ExecutorMetrics, TraceHook, OP_NAMES};

@@ -3,10 +3,13 @@
 //! Ties together everything below it, exactly as the paper's "inference
 //! runtime" box (Fig. 2) does:
 //!
-//! - builds/receives a fused computation graph (`tt-graph`, `tt-model`);
-//! - plans activation memory per request with the sequence-length-aware
-//!   allocator (`tt-alloc`) and executes the real numerics over the shared
-//!   chunk arena ([`executor`]);
+//! - compiles each request shape into one fused program (`tt-graph`,
+//!   `tt-model`);
+//! - runs it through the model crate's interpreter
+//!   ([`tt_model::program`]), which plans activation memory per request
+//!   with the sequence-length-aware allocator (`tt-alloc`) and executes the
+//!   real numerics over the shared chunk arena, timing each op into the
+//!   [`executor`] metrics;
 //! - prices the same execution on a simulated GPU (`tt-gpusim`) so
 //!   experiments can reason about device time without physical hardware
 //!   ([`cost`]);
@@ -31,6 +34,7 @@ pub mod decode;
 pub mod executor;
 pub mod variants;
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use parking_lot::Mutex;
@@ -39,12 +43,10 @@ use tt_alloc::caching::CachingAllocator;
 use tt_alloc::sim::replay;
 use tt_alloc::TurboAllocator;
 use tt_gpusim::device::{DeviceConfig, DeviceKind};
-use tt_graph::lifetime::activation_lifetimes;
 use tt_model::albert::{Albert, AlbertConfig};
 use tt_model::bert::{Bert, BertConfig};
-use tt_model::bound::{BoundGraph, InputBinding};
 use tt_model::decoder::Seq2SeqDecoderConfig;
-use tt_tensor::storage::Arena;
+use tt_model::{BoundProgram, Program, Workspace};
 use tt_tensor::Tensor;
 
 pub use cost::CostBreakdown;
@@ -137,16 +139,15 @@ pub struct EncoderRun {
 
 #[derive(Debug)]
 struct State {
-    allocator: TurboAllocator,
-    arena: Arena,
+    /// Where every inference runs: the allocator's chunk cache, the arena,
+    /// per-op metrics once instrumented, and the armed chaos points.
+    workspace: Workspace,
     /// Warm caching pool used to price `AllocPolicy::CachingPool` variants.
     caching_for_cost: CachingAllocator,
     /// Turbo allocator replica used to price `AllocPolicy::TurboChunks`.
     turbo_for_cost: TurboAllocator,
     tuned_shapes: HashSet<(usize, usize)>,
     bert_cost_cache: HashMap<CostKey, (CostBreakdown, f64)>,
-    /// Per-op-kind timing sink, set by [`TurboRuntime::instrument`].
-    exec_metrics: Option<executor::ExecutorMetrics>,
     /// Memory-bound passes removed by the fusion pass, per executed graph.
     fusion_elided: Option<std::sync::Arc<tt_telemetry::Counter>>,
     /// Busy-energy sink, set by [`TurboRuntime::instrument_energy`]. Every
@@ -187,13 +188,13 @@ impl TurboRuntime {
             device: config.device.config(),
             config,
             state: Mutex::new(State {
-                allocator: TurboAllocator::default(),
-                arena: Arena::new(),
+                // The serving loop catches executor panics, so this is the
+                // one workspace whose fault points are armed.
+                workspace: Workspace { chaos: true, ..Workspace::default() },
                 caching_for_cost: CachingAllocator::new(),
                 turbo_for_cost: TurboAllocator::default(),
                 tuned_shapes: HashSet::new(),
                 bert_cost_cache: HashMap::new(),
-                exec_metrics: None,
                 fusion_elided: None,
                 energy_meter: None,
             }),
@@ -206,13 +207,13 @@ impl TurboRuntime {
     /// get-or-create by name.
     pub fn instrument(&self, registry: &tt_telemetry::Registry) {
         let mut state = self.state.lock();
-        state.exec_metrics = Some(executor::ExecutorMetrics::register(registry));
+        state.workspace.metrics = Some(executor::ExecutorMetrics::register(registry));
         state.fusion_elided = Some(registry.counter(
             "fusion_elided_passes_total",
             "Memory-bound kernel passes the graph fusion pass removed before execution",
             &[],
         ));
-        state.allocator.attach_metrics(tt_alloc::AllocMetrics::register(registry));
+        state.workspace.allocator.attach_metrics(tt_alloc::AllocMetrics::register(registry));
     }
 
     /// Attach an energy meter: every subsequent inference adds its modeled
@@ -240,29 +241,29 @@ impl TurboRuntime {
         &self.device
     }
 
-    /// Apply the variant's graph form (fused models de-fuse for
-    /// fine-grained variants).
-    fn transform(&self, bound: &BoundGraph) -> BoundGraph {
+    /// Apply the variant's graph form (fused programs de-fuse for
+    /// fine-grained variants; the weight slots are unchanged).
+    fn transform<'p>(&self, program: &'p Program) -> Cow<'p, Program> {
         match self.profile.fusion {
-            FusionLevel::Fused => bound.clone(),
-            FusionLevel::Decomposed => bound.rebind(tt_graph::fusion::decompose(&bound.graph)),
+            FusionLevel::Fused => Cow::Borrowed(program),
+            FusionLevel::Decomposed => Cow::Owned(program.decomposed()),
         }
     }
 
-    /// Allocator-overhead seconds for executing `bound` once, advancing the
-    /// warm allocator replicas.
-    fn alloc_overhead(&self, state: &mut State, bound: &BoundGraph) -> f64 {
-        let (usages, _) = activation_lifetimes(&bound.graph);
+    /// Allocator-overhead seconds for executing `program` once, advancing
+    /// the warm allocator replicas.
+    fn alloc_overhead(&self, state: &mut State, program: &Program) -> f64 {
+        let usages = program.usages();
         match self.profile.allocator {
             AllocPolicy::TurboChunks => {
-                let _ = state.turbo_for_cost.plan(&usages);
+                let _ = state.turbo_for_cost.plan(usages);
                 let st = state.turbo_for_cost.last_stats();
                 PLAN_BASE_SECONDS
                     + usages.len() as f64 * PER_TENSOR_SECONDS
                     + st.new_chunks as f64 * DEVICE_MALLOC_SECONDS
             }
             AllocPolicy::CachingPool => {
-                let report = replay(&mut state.caching_for_cost, &usages);
+                let report = replay(&mut state.caching_for_cost, usages);
                 report.device_allocs as f64 * DEVICE_MALLOC_SECONDS
                     + usages.len() as f64 * PER_TENSOR_SECONDS
             }
@@ -282,20 +283,21 @@ impl TurboRuntime {
         }
     }
 
-    /// Price one bound graph under this runtime (no numerics). Advances the
-    /// warm allocator/tuning state exactly as a real execution would.
-    pub fn cost_bound(&self, bound: &BoundGraph, batch: usize, seq: usize) -> CostBreakdown {
-        self.priced_bound(bound, batch, seq).0
+    /// Price one compiled program under this runtime (no numerics).
+    /// Advances the warm allocator/tuning state exactly as a real execution
+    /// would.
+    pub fn cost_bound(&self, program: &Program, batch: usize, seq: usize) -> CostBreakdown {
+        self.priced_bound(program, batch, seq).0
     }
 
-    /// Time and energy for one bound graph: the cost breakdown plus modeled
+    /// Time and energy for one program: the cost breakdown plus modeled
     /// *steady-state* joules — dynamic kernel energy plus idle draw over
     /// the per-inference framework overhead. Cold allocator / pretune
     /// windows are deliberately excluded from the energy: they depend on
     /// warm-up order, and the scheduler's energy table needs shapes to be
     /// comparable regardless of the order they were priced in.
-    fn priced_bound(&self, bound: &BoundGraph, batch: usize, seq: usize) -> (CostBreakdown, f64) {
-        let transformed = self.transform(bound);
+    fn priced_bound(&self, program: &Program, batch: usize, seq: usize) -> (CostBreakdown, f64) {
+        let transformed = self.transform(program);
         let mut cb = cost::graph_cost(&self.device, &self.profile, &transformed.graph);
         let mut state = self.state.lock();
         cb.alloc = self.alloc_overhead(&mut state, &transformed);
@@ -386,9 +388,9 @@ impl TurboRuntime {
 
     fn run_encoder(
         &self,
-        bound: &BoundGraph,
+        bound: &BoundProgram,
         store: &tt_model::weights::WeightStore,
-        inputs: &[(InputBinding, &Tensor)],
+        inputs: &[&[f32]],
         batch: usize,
         seq: usize,
         trace: Option<executor::TraceHook<'_>>,
@@ -399,11 +401,9 @@ impl TurboRuntime {
         cb.alloc = self.alloc_overhead(&mut state, &transformed);
         cb.overhead = self.profile.per_infer_overhead + self.pretune_cost(&mut state, batch, seq);
         if let Some(counter) = &state.fusion_elided {
-            // How many fine-grained passes this graph would have issued
-            // unfused. Zero for `FusionLevel::Decomposed` by construction.
-            let elided = tt_graph::fusion::decompose(&transformed.graph).nodes.len()
-                - transformed.graph.nodes.len();
-            counter.add(elided as u64);
+            // Fine-grained passes this program would have issued unfused;
+            // zero for `FusionLevel::Decomposed` by construction.
+            counter.add(transformed.elided_passes() as u64);
         }
         // Per-node joules under this variant's profile, indexed like
         // `transformed.graph.nodes` — the executor stamps them onto per-op
@@ -417,23 +417,20 @@ impl TurboRuntime {
         if let Some(meter) = &state.energy_meter {
             meter.add(tt_telemetry::EnergyPhase::Prefill, energy_uj);
         }
-        let State { allocator, arena, exec_metrics, .. } = &mut *state;
-        let exec = executor::execute_traced(
-            &transformed,
-            store,
-            inputs,
-            allocator,
-            arena,
-            exec_metrics.as_ref(),
-            trace,
-            Some(&energies),
-        );
+        let ws = &mut state.workspace;
+        let mut outputs =
+            transformed.run_traced(store, &bound.weights, inputs, ws, trace, Some(&energies));
+        let encoder_output = Tensor::from_vec(
+            transformed.output_shape(0).to_vec(),
+            outputs.pop().expect("one output slot"),
+        )
+        .expect("output buffer sized from the shape");
         EncoderRun {
-            encoder_output: exec.output,
+            encoder_output,
             sim_time: cb.total(),
             breakdown: cb,
             energy_uj,
-            plan_stats: exec.plan_stats,
+            plan_stats: ws.allocator.last_stats(),
         }
     }
 
@@ -455,14 +452,7 @@ impl TurboRuntime {
             return Err(RunError::SequenceTooLong { got: seq, max: model.config.max_position });
         }
         let bound = model.build_graph(batch, seq, false);
-        Ok(self.run_encoder(
-            &bound,
-            model.weights(),
-            &[(InputBinding::TokenIds, ids)],
-            batch,
-            seq,
-            trace,
-        ))
+        Ok(self.run_encoder(&bound, model.weights(), &[ids.as_slice()], batch, seq, trace))
     }
 
     /// Run BERT on a zero-padded batch with an additive attention mask
@@ -490,14 +480,8 @@ impl TurboRuntime {
             return Err(RunError::SequenceTooLong { got: seq, max: model.config.max_position });
         }
         let bound = model.build_graph(batch, seq, true);
-        Ok(self.run_encoder(
-            &bound,
-            model.weights(),
-            &[(InputBinding::TokenIds, ids), (InputBinding::AttentionMask, mask)],
-            batch,
-            seq,
-            trace,
-        ))
+        let inputs = [ids.as_slice(), mask.as_slice()];
+        Ok(self.run_encoder(&bound, model.weights(), &inputs, batch, seq, trace))
     }
 
     /// Run ALBERT on unpadded `[batch, seq]` token ids.
@@ -507,14 +491,7 @@ impl TurboRuntime {
             return Err(RunError::SequenceTooLong { got: seq, max: model.config.max_position });
         }
         let bound = model.build_graph(batch, seq, false);
-        Ok(self.run_encoder(
-            &bound,
-            model.weights(),
-            &[(InputBinding::TokenIds, ids)],
-            batch,
-            seq,
-            None,
-        ))
+        Ok(self.run_encoder(&bound, model.weights(), &[ids.as_slice()], batch, seq, None))
     }
 }
 

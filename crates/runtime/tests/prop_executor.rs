@@ -1,17 +1,15 @@
-//! Random-graph fuzzing of the executor + fusion pipeline: build arbitrary
-//! valid op chains, execute them through the planned arena, and check that
-//! `fuse` and `decompose` never change the numerics — the property behind
-//! the paper's claim that its graph rewrite is free.
+//! Random-graph fuzzing of the program interpreter + fusion pipeline:
+//! build arbitrary valid op chains, compile and execute them through the
+//! planned arena, and check that `fuse` and `decompose` never change the
+//! numerics — the property behind the paper's claim that its graph rewrite
+//! is free.
 
 use proptest::prelude::*;
 
-use tt_alloc::TurboAllocator;
-use tt_graph::fusion::{decompose, fuse};
-use tt_graph::{Graph, OpKind, TensorClass};
-use tt_model::bound::{BoundGraph, InputBinding};
+use tt_graph::fusion::decompose;
+use tt_graph::{Graph, OpKind, TensorClass, TensorId};
 use tt_model::weights::{WeightInit, WeightStore};
-use tt_runtime::executor::execute;
-use tt_tensor::storage::Arena;
+use tt_model::{BoundProgram, Workspace};
 use tt_tensor::Tensor;
 
 /// Ops the generator may append (all preserve the [rows, hidden] shape).
@@ -38,9 +36,25 @@ fn op_strategy() -> impl Strategy<Value = GenOp> {
     ]
 }
 
-/// Build a random but valid bound graph over a `[rows, hidden]` input,
-/// plus the weight store backing it.
-fn build(ops: &[GenOp], rows: usize, hidden: usize, seed: u64) -> (BoundGraph, WeightStore) {
+/// A random but valid fine graph over a `[rows, hidden]` input, its weight
+/// bindings, input and output ids, plus the weight store backing it.
+struct Chain {
+    graph: Graph,
+    bindings: Vec<(TensorId, usize)>,
+    input: TensorId,
+    output: TensorId,
+    store: WeightStore,
+}
+
+impl Chain {
+    /// Compile `graph` — the chain itself or a rewrite of it, which keeps
+    /// every tensor id of the chain — with the chain's slots.
+    fn compile(&self, graph: &Graph) -> BoundProgram {
+        BoundProgram::compile(graph, &self.bindings, &[self.input], &[self.output])
+    }
+}
+
+fn build(ops: &[GenOp], rows: usize, hidden: usize, seed: u64) -> Chain {
     let mut g = Graph::new();
     let mut store = WeightStore::new();
     let mut init = WeightInit::new(seed);
@@ -100,28 +114,20 @@ fn build(ops: &[GenOp], rows: usize, hidden: usize, seed: u64) -> (BoundGraph, W
         cur = out;
     }
     g.tensors[cur].class = TensorClass::Output;
-    (
-        BoundGraph {
-            graph: g,
-            weights: bindings,
-            inputs: vec![(input, InputBinding::TokenIds)],
-            output: cur,
-        },
-        store,
-    )
+    Chain { graph: g, bindings, input, output: cur, store }
 }
 
-fn run(bound: &BoundGraph, store: &WeightStore, x: &Tensor) -> Tensor {
-    let mut alloc = TurboAllocator::default();
-    let mut arena = Arena::new();
-    execute(bound, store, &[(InputBinding::TokenIds, x)], &mut alloc, &mut arena).output
+fn run(bound: &BoundProgram, store: &WeightStore, x: &Tensor) -> Tensor {
+    let mut ws = Workspace::default();
+    let out = bound.run(store, &bound.weights, &[x.as_slice()], &mut ws).pop().unwrap();
+    Tensor::from_vec(bound.output_shape(0).to_vec(), out).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Executing a random chain, its fused form and its decomposed form all
-    /// yield the same numbers.
+    /// Executing a random chain's fused form, its decomposed form and the
+    /// fused round trip of its decomposition all yield the same numbers.
     #[test]
     fn fusion_rewrites_preserve_numerics(
         ops in prop::collection::vec(op_strategy(), 1..10),
@@ -129,25 +135,30 @@ proptest! {
         hidden in 2usize..24,
         seed in 0u64..500,
     ) {
-        let (bound, store) = build(&ops, rows, hidden, seed);
+        let chain = build(&ops, rows, hidden, seed);
         let x = Tensor::from_fn([rows, hidden], |i| ((i as u64 * 29 + seed) % 13) as f32 * 0.3 - 1.5);
 
-        let base = run(&bound, &store, &x);
+        // Fully fine-grained: the decomposed chain, compiled and de-fused.
+        let fine = chain.compile(&decompose(&chain.graph));
+        let fine = BoundProgram { program: fine.decomposed(), weights: fine.weights.clone() };
+        prop_assert_eq!(fine.fused_ops(), 0);
+        let base = run(&fine, &chain.store, &x);
         prop_assert!(base.as_slice().iter().all(|v| v.is_finite()));
 
-        let fused = bound.rebind(fuse(&bound.graph));
-        let f = run(&fused, &store, &x);
+        let fused = chain.compile(&chain.graph);
+        let f = run(&fused, &chain.store, &x);
         prop_assert!(base.approx_eq(&f, 1e-4), "fuse changed numerics (diff {})",
             base.max_abs_diff(&f).unwrap());
 
-        let decomposed = bound.rebind(decompose(&bound.graph));
-        let d = run(&decomposed, &store, &x);
+        let decomposed = BoundProgram { program: fused.decomposed(), weights: fused.weights.clone() };
+        let d = run(&decomposed, &chain.store, &x);
         prop_assert!(base.approx_eq(&d, 1e-4), "decompose changed numerics (diff {})",
             base.max_abs_diff(&d).unwrap());
 
-        // And the round trip.
-        let round = bound.rebind(fuse(&decompose(&bound.graph)));
-        let rt = run(&round, &store, &x);
+        // And the round trip: fuse(decompose(chain)).
+        let round = chain.compile(&decompose(&chain.graph));
+        prop_assert_eq!(round.nodes(), fused.nodes());
+        let rt = run(&round, &chain.store, &x);
         prop_assert!(base.approx_eq(&rt, 1e-4));
     }
 
@@ -158,12 +169,12 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..8),
         seed in 0u64..200,
     ) {
-        let (bound, store) = build(&ops, 3, 8, seed);
+        let chain = build(&ops, 3, 8, seed);
+        let bound = chain.compile(&chain.graph);
         let x = Tensor::from_fn([3, 8], |i| (i as f32 * 0.17).sin());
-        let mut alloc = TurboAllocator::default();
-        let mut arena = Arena::new();
-        let a = execute(&bound, &store, &[(InputBinding::TokenIds, &x)], &mut alloc, &mut arena).output;
-        let b = execute(&bound, &store, &[(InputBinding::TokenIds, &x)], &mut alloc, &mut arena).output;
+        let mut ws = Workspace::default();
+        let a = bound.run(&chain.store, &bound.weights, &[x.as_slice()], &mut ws);
+        let b = bound.run(&chain.store, &bound.weights, &[x.as_slice()], &mut ws);
         prop_assert_eq!(a, b);
     }
 }

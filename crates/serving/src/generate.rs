@@ -33,11 +33,12 @@ use tt_model::gpt::Gpt;
 use tt_runtime::decode::{DecodeConfig, DecodeEnergyModel, GenerativeRuntime};
 use tt_telemetry::{AttrValue, Counter, Gauge, Histogram, Registry, SpanContext, Tracer};
 
+use crate::config::{knob, knob_opt, process_env, Lookup};
 use crate::cost_table::CachedCost;
 use crate::deadline::Deadline;
 
 /// Engine shape, overridable from the environment (`TT_GEN_*` for the
-/// scheduler, `TT_KV_*` for the arena via [`DecodeConfig::from_env`]).
+/// scheduler, `TT_KV_*` for the arena; see [`GenConfig::from_env`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenConfig {
     /// Arena sizing (page slots, page count).
@@ -63,27 +64,28 @@ impl Default for GenConfig {
 }
 
 impl GenConfig {
-    /// Defaults overridden by `TT_GEN_MAX_ACTIVE`, `TT_GEN_MAX_NEW_TOKENS`
-    /// and `TT_GEN_EOS` when set and parseable; invalid values fall back
-    /// silently, mirroring the `TT_HTTP_*` convention.
+    /// Defaults overridden by `TT_KV_PAGE_SLOTS`, `TT_KV_PAGES`,
+    /// `TT_GEN_MAX_ACTIVE`, `TT_GEN_MAX_NEW_TOKENS` and `TT_GEN_EOS`.
+    ///
+    /// # Panics
+    ///
+    /// On a set but unparsable knob (see [`crate::config`]).
     pub fn from_env() -> Self {
-        let mut cfg = GenConfig { kv: DecodeConfig::from_env(), ..GenConfig::default() };
-        if let Ok(v) = std::env::var("TT_GEN_MAX_ACTIVE") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                cfg.max_active = n.max(1);
-            }
+        Self::from_lookup(&process_env)
+    }
+
+    /// [`from_env`](Self::from_env) over any knob source.
+    pub fn from_lookup(lookup: Lookup<'_>) -> Self {
+        let d = GenConfig::default();
+        GenConfig {
+            kv: DecodeConfig {
+                page_slots: knob(lookup, "TT_KV_PAGE_SLOTS", d.kv.page_slots).max(1),
+                num_pages: knob(lookup, "TT_KV_PAGES", d.kv.num_pages).max(1),
+            },
+            max_active: knob(lookup, "TT_GEN_MAX_ACTIVE", d.max_active).max(1),
+            max_new_tokens: knob(lookup, "TT_GEN_MAX_NEW_TOKENS", d.max_new_tokens).max(1),
+            eos_token: knob_opt(lookup, "TT_GEN_EOS"),
         }
-        if let Ok(v) = std::env::var("TT_GEN_MAX_NEW_TOKENS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                cfg.max_new_tokens = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("TT_GEN_EOS") {
-            if let Ok(t) = v.trim().parse::<u32>() {
-                cfg.eos_token = Some(t);
-            }
-        }
-        cfg
     }
 }
 
@@ -174,8 +176,8 @@ struct ActiveSeq {
 }
 
 /// Decode-path metric family (satellite: `decode_tokens_total`, `ttft_ms`,
-/// `batch_active_seqs`; the `kv_*` gauges come from the arena itself via
-/// [`GenerativeRuntime::instrument`]).
+/// `batch_active_seqs`; the `kv_*` gauges and the per-op `executor_*`
+/// family come from [`GenerativeRuntime::instrument`]).
 #[derive(Debug, Clone)]
 struct GenMetrics {
     decode_tokens: Arc<Counter>,
@@ -932,5 +934,10 @@ mod tests {
         assert!(snap.find("gen_requests_total", &[]).unwrap().counter.unwrap() >= 1);
         assert!(snap.find("prefill_us", &[]).is_some());
         assert!(snap.find("decode_step_us", &[]).is_some());
+        // Every op a decode step runs lands in the executor's per-op family.
+        let matmul = snap.find("executor_op_nanoseconds", &[("op", "matmul")]).unwrap();
+        let matmul = matmul.histogram.as_ref().unwrap();
+        assert!(matmul.count() > 0, "decode GEMMs must be timed");
+        assert!(matmul.sum > 0);
     }
 }

@@ -99,6 +99,7 @@ use tt_telemetry::{
     trace_tree_json, Counter, Gauge, Histogram, Registry, Span, SpanContext, TraceId, Tracer,
 };
 
+use crate::config::{knob, knob_ms, process_env, Lookup};
 use crate::cost_table::CachedCost;
 use crate::deadline::Deadline;
 use crate::generate::{FinishReason, GenClient, TokenEvent};
@@ -172,30 +173,30 @@ impl Default for HttpConfig {
 
 impl HttpConfig {
     /// Defaults overridden by any `TT_HTTP_*` environment variables that
-    /// are set (unparseable values fall back to the default — a serving
-    /// binary should come up even with a typo'd environment).
+    /// are set (plus `TT_RETRY_AFTER_MAX` and `TT_SLO_MS`).
+    ///
+    /// # Panics
+    ///
+    /// On a set but unparsable knob (see [`crate::config`]) — a serving
+    /// binary must not come up quietly ignoring a typo'd environment.
     pub fn from_env() -> Self {
+        Self::from_lookup(&process_env)
+    }
+
+    /// [`from_env`](Self::from_env) over any knob source.
+    pub fn from_lookup(lookup: Lookup<'_>) -> Self {
         let d = HttpConfig::default();
-        fn env<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        }
         HttpConfig {
-            addr: std::env::var("TT_HTTP_ADDR").unwrap_or(d.addr),
-            workers: env("TT_HTTP_WORKERS", d.workers).max(1),
-            pending_connections: env("TT_HTTP_PENDING", d.pending_connections).max(1),
-            max_queue_depth: env("TT_HTTP_QUEUE_DEPTH", d.max_queue_depth).max(1),
-            max_body_bytes: env("TT_HTTP_MAX_BODY", d.max_body_bytes),
-            read_timeout: Duration::from_millis(env(
-                "TT_HTTP_READ_TIMEOUT_MS",
-                d.read_timeout.as_millis() as u64,
-            )),
-            write_timeout: Duration::from_millis(env(
-                "TT_HTTP_WRITE_TIMEOUT_MS",
-                d.write_timeout.as_millis() as u64,
-            )),
-            retry_after_s: env("TT_HTTP_RETRY_AFTER_S", d.retry_after_s),
-            retry_after_max: env("TT_RETRY_AFTER_MAX", d.retry_after_max).max(1),
-            slo: Duration::from_millis(env("TT_SLO_MS", d.slo.as_millis() as u64).max(1)),
+            addr: lookup("TT_HTTP_ADDR").unwrap_or(d.addr),
+            workers: knob(lookup, "TT_HTTP_WORKERS", d.workers).max(1),
+            pending_connections: knob(lookup, "TT_HTTP_PENDING", d.pending_connections).max(1),
+            max_queue_depth: knob(lookup, "TT_HTTP_QUEUE_DEPTH", d.max_queue_depth).max(1),
+            max_body_bytes: knob(lookup, "TT_HTTP_MAX_BODY", d.max_body_bytes),
+            read_timeout: knob_ms(lookup, "TT_HTTP_READ_TIMEOUT_MS", d.read_timeout),
+            write_timeout: knob_ms(lookup, "TT_HTTP_WRITE_TIMEOUT_MS", d.write_timeout),
+            retry_after_s: knob(lookup, "TT_HTTP_RETRY_AFTER_S", d.retry_after_s),
+            retry_after_max: knob(lookup, "TT_RETRY_AFTER_MAX", d.retry_after_max).max(1),
+            slo: knob_ms(lookup, "TT_SLO_MS", d.slo).max(Duration::from_millis(1)),
         }
     }
 }

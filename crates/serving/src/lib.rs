@@ -58,6 +58,7 @@
 
 pub mod cache;
 pub mod cluster;
+pub mod config;
 pub mod cost_table;
 pub mod deadline;
 pub mod generate;

@@ -29,6 +29,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::config::{knob, knob_ms, process_env, Lookup};
 use crate::deadline::Deadline;
 
 /// Tuning for the fleet's retry layer. All knobs have `TT_RETRY_*`
@@ -67,20 +68,25 @@ impl Default for RetryConfig {
 impl RetryConfig {
     /// Defaults overridden by `TT_RETRY_MAX` / `TT_RETRY_BASE_MS` /
     /// `TT_RETRY_CAP_MS` / `TT_RETRY_BUDGET` / `TT_RETRY_BUDGET_CAP` /
-    /// `TT_RETRY_SEED` (unparseable values fall back, matching the
-    /// `TT_HTTP_*` convention).
+    /// `TT_RETRY_SEED`.
+    ///
+    /// # Panics
+    ///
+    /// On a set but unparsable knob (see [`crate::config`]).
     pub fn from_env() -> Self {
-        fn env<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        }
+        Self::from_lookup(&process_env)
+    }
+
+    /// [`from_env`](Self::from_env) over any knob source.
+    pub fn from_lookup(lookup: Lookup<'_>) -> Self {
         let d = RetryConfig::default();
         RetryConfig {
-            max_attempts: env("TT_RETRY_MAX", d.max_attempts).max(1),
-            base: Duration::from_millis(env("TT_RETRY_BASE_MS", d.base.as_millis() as u64)),
-            cap: Duration::from_millis(env("TT_RETRY_CAP_MS", d.cap.as_millis() as u64)),
-            budget_ratio: env("TT_RETRY_BUDGET", d.budget_ratio),
-            budget_cap: env("TT_RETRY_BUDGET_CAP", d.budget_cap),
-            seed: env("TT_RETRY_SEED", d.seed),
+            max_attempts: knob(lookup, "TT_RETRY_MAX", d.max_attempts).max(1),
+            base: knob_ms(lookup, "TT_RETRY_BASE_MS", d.base),
+            cap: knob_ms(lookup, "TT_RETRY_CAP_MS", d.cap),
+            budget_ratio: knob(lookup, "TT_RETRY_BUDGET", d.budget_ratio),
+            budget_cap: knob(lookup, "TT_RETRY_BUDGET_CAP", d.budget_cap),
+            seed: knob(lookup, "TT_RETRY_SEED", d.seed),
         }
     }
 }

@@ -58,6 +58,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 
 use tt_telemetry::{Counter, Gauge, Histogram, Registry, SpanContext};
 
+use crate::config::{knob, process_env, Lookup};
 use crate::cost_table::CachedCost;
 use crate::deadline::Deadline;
 use crate::generate::TokenEvent;
@@ -171,21 +172,27 @@ impl FleetConfig {
     /// `TT_HEDGE_MS` (0 or unset disables hedging). The router's
     /// stale-heartbeat threshold follows the supervisor's liveness
     /// deadline.
+    ///
+    /// # Panics
+    ///
+    /// On a set but unparsable knob (see [`crate::config`]).
     pub fn from_env() -> Self {
-        fn env<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        }
-        let supervisor = SupervisorConfig::from_env();
+        Self::from_lookup(&process_env)
+    }
+
+    /// [`from_env`](Self::from_env) over any knob source.
+    pub fn from_lookup(lookup: Lookup<'_>) -> Self {
+        let supervisor = SupervisorConfig::from_lookup(lookup);
         let health = HealthConfig {
             stale_heartbeat: supervisor.liveness_deadline,
             ..HealthConfig::default()
         };
-        let hedge_ms: u64 = env("TT_HEDGE_MS", 0);
+        let hedge_ms: u64 = knob(lookup, "TT_HEDGE_MS", 0);
         FleetConfig {
-            replicas: env("TT_FLEET_REPLICAS", 1).max(1),
+            replicas: knob(lookup, "TT_FLEET_REPLICAS", 1usize).max(1),
             supervisor,
             health,
-            retry: RetryConfig::from_env(),
+            retry: RetryConfig::from_lookup(lookup),
             hedge: (hedge_ms > 0).then(|| Duration::from_millis(hedge_ms)),
         }
     }
@@ -443,6 +450,8 @@ struct FleetInner {
     hedge: Option<Duration>,
     costs: Arc<CachedCost>,
     request_seq: AtomicU64,
+    /// Where the next pick starts scanning, so equal-work ties rotate.
+    pick_cursor: AtomicU64,
     metrics: Option<FleetMetrics>,
 }
 
@@ -486,6 +495,7 @@ impl Fleet {
                 hedge: config.hedge,
                 costs,
                 request_seq: AtomicU64::new(0),
+                pick_cursor: AtomicU64::new(0),
                 metrics: registry.map(FleetMetrics::register),
             }),
         }
@@ -599,6 +609,36 @@ impl Fleet {
     }
 }
 
+/// The routing decision over `n` replicas, each seen as `(state, outstanding
+/// estimated work)`: a free half-open probe slot first (the only road back
+/// from ejection), else the healthy replica with the least work, else the
+/// least-loaded degraded one. The scan starts at `start` and wraps; the
+/// first replica scanned wins a tie, so a rotating `start` spreads equal
+/// work (idle replicas) across the fleet instead of always choosing index 0.
+/// Returns `(index, is_probe)`.
+fn pick_from(
+    n: usize,
+    start: usize,
+    view: impl Fn(usize) -> (HealthState, u64),
+    mut claim_probe: impl FnMut(usize) -> bool,
+) -> Option<(usize, bool)> {
+    let mut best_healthy: Option<(usize, u64)> = None;
+    let mut best_degraded: Option<(usize, u64)> = None;
+    for idx in (start..n).chain(0..start) {
+        let (state, work) = view(idx);
+        let best = match state {
+            HealthState::HalfOpen if claim_probe(idx) => return Some((idx, true)),
+            HealthState::Healthy => &mut best_healthy,
+            HealthState::Degraded => &mut best_degraded,
+            HealthState::HalfOpen | HealthState::Ejected => continue,
+        };
+        if best.is_none_or(|(_, w)| work < w) {
+            *best = Some((idx, work));
+        }
+    }
+    best_healthy.or(best_degraded).map(|(idx, _)| (idx, false))
+}
+
 impl FleetInner {
     /// Replica is mid-restart or its heartbeat is stale: hard-down.
     fn hard_down(&self, idx: usize) -> bool {
@@ -607,35 +647,20 @@ impl FleetInner {
             || replica.heartbeat_age().is_none_or(|age| age > self.health_config.stale_heartbeat)
     }
 
-    /// Pick a replica: a free half-open probe slot first (the only road
-    /// back from ejection), else the healthy replica with the least
-    /// outstanding estimated work, else the least-loaded degraded one.
+    /// Pick a replica (see [`pick_from`]), starting each scan one replica
+    /// further along than the last.
     fn pick(&self) -> Option<(usize, bool)> {
-        let mut best_healthy: Option<(usize, u64)> = None;
-        let mut best_degraded: Option<(usize, u64)> = None;
-        for idx in 0..self.replicas.len() {
-            let state = self.health[idx].evaluate(&self.health_config, self.hard_down(idx));
-            let work = self.health[idx].est_work_ns.load(Ordering::Relaxed);
-            match state {
-                HealthState::HalfOpen => {
-                    if self.health[idx].try_claim_probe() {
-                        return Some((idx, true));
-                    }
-                }
-                HealthState::Healthy => {
-                    if best_healthy.is_none_or(|(_, w)| work < w) {
-                        best_healthy = Some((idx, work));
-                    }
-                }
-                HealthState::Degraded => {
-                    if best_degraded.is_none_or(|(_, w)| work < w) {
-                        best_degraded = Some((idx, work));
-                    }
-                }
-                HealthState::Ejected => {}
-            }
-        }
-        best_healthy.or(best_degraded).map(|(idx, _)| (idx, false))
+        let n = self.replicas.len();
+        let start = (self.pick_cursor.fetch_add(1, Ordering::Relaxed) % n as u64) as usize;
+        pick_from(
+            n,
+            start,
+            |idx| {
+                let state = self.health[idx].evaluate(&self.health_config, self.hard_down(idx));
+                (state, self.health[idx].est_work_ns.load(Ordering::Relaxed))
+            },
+            |idx| self.health[idx].try_claim_probe(),
+        )
     }
 
     /// One dispatch: pick, account the work estimate, execute, record the
@@ -823,6 +848,31 @@ mod tests {
             eject_cooldown: ms(20),
             ..HealthConfig::default()
         }
+    }
+
+    #[test]
+    fn equal_work_ties_rotate_and_load_still_decides() {
+        use HealthState::{Degraded, Ejected, HalfOpen, Healthy};
+        let picks = |views: &[(HealthState, u64)]| -> Vec<usize> {
+            (0..4)
+                .map(|start| {
+                    let view = |i: usize| views[i];
+                    pick_from(views.len(), start % views.len(), view, |_| false).unwrap().0
+                })
+                .collect()
+        };
+        // Two idle healthy replicas alternate as the cursor advances.
+        assert_eq!(picks(&[(Healthy, 0), (Healthy, 0)]), [0, 1, 0, 1]);
+        // A loaded replica loses to an idle one from every start.
+        assert_eq!(picks(&[(Healthy, 5_000), (Healthy, 0)]), [1, 1, 1, 1]);
+        assert_eq!(picks(&[(Healthy, 0), (Healthy, 5_000)]), [0, 0, 0, 0]);
+        // Healthy beats degraded regardless of work; ejected never serves.
+        assert_eq!(picks(&[(Degraded, 0), (Healthy, 9), (Ejected, 0)]), [1, 1, 1, 1]);
+        assert_eq!(pick_from(2, 1, |_| (Ejected, 0), |_| true), None);
+        // A claimable probe slot wins outright, flagged as a probe.
+        let views = [(Healthy, 0), (HalfOpen, 100)];
+        assert_eq!(pick_from(2, 0, |i| views[i], |_| true), Some((1, true)));
+        assert_eq!(pick_from(2, 0, |i| views[i], |_| false), Some((0, false)));
     }
 
     #[test]

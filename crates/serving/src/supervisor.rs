@@ -37,6 +37,7 @@ use crossbeam::channel::RecvTimeoutError;
 
 use tt_telemetry::{Counter, Gauge, Registry, SpanContext};
 
+use crate::config::{knob_ms, process_env, Lookup};
 use crate::deadline::Deadline;
 use crate::generate::{GenClient, GenParts};
 use crate::live::{Heartbeat, LiveClient, LiveCore, LiveError, LiveResponse};
@@ -72,21 +73,22 @@ impl Default for SupervisorConfig {
 
 impl SupervisorConfig {
     /// Defaults overridden by `TT_FLEET_LIVENESS_MS` /
-    /// `TT_FLEET_POLL_MS` / `TT_FLEET_RESTART_BACKOFF_MS` (unparseable
-    /// values fall back, matching the `TT_HTTP_*` convention).
+    /// `TT_FLEET_POLL_MS` / `TT_FLEET_RESTART_BACKOFF_MS`.
+    ///
+    /// # Panics
+    ///
+    /// On a set but unparsable knob (see [`crate::config`]).
     pub fn from_env() -> Self {
-        fn ms(name: &str, default: Duration) -> Duration {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .map(Duration::from_millis)
-                .unwrap_or(default)
-        }
+        Self::from_lookup(&process_env)
+    }
+
+    /// [`from_env`](Self::from_env) over any knob source.
+    pub fn from_lookup(lookup: Lookup<'_>) -> Self {
         let d = SupervisorConfig::default();
         SupervisorConfig {
-            liveness_deadline: ms("TT_FLEET_LIVENESS_MS", d.liveness_deadline),
-            poll_interval: ms("TT_FLEET_POLL_MS", d.poll_interval),
-            restart_backoff: ms("TT_FLEET_RESTART_BACKOFF_MS", d.restart_backoff),
+            liveness_deadline: knob_ms(lookup, "TT_FLEET_LIVENESS_MS", d.liveness_deadline),
+            poll_interval: knob_ms(lookup, "TT_FLEET_POLL_MS", d.poll_interval),
+            restart_backoff: knob_ms(lookup, "TT_FLEET_RESTART_BACKOFF_MS", d.restart_backoff),
         }
     }
 }
